@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 #: Execution units an op can be bound to.
 UNIT_MXU = "mxu"  # matrix/tensor unit (systolic array / tensor cores)
 UNIT_VPU = "vpu"  # vector processing unit
@@ -77,27 +75,45 @@ class OpNode:
 
 
 class OpGraph:
-    """A DAG of :class:`OpNode` with explicit dependency edges."""
+    """A DAG of :class:`OpNode` with explicit dependency edges.
+
+    The graph is acyclic by construction: :meth:`add` only accepts
+    dependencies on ops already in the graph, and a new op has no
+    successors yet, so no edge can ever close a cycle.  Insertion order
+    is therefore a topological order, and every traversal below walks
+    it directly — building and walking an n-op graph is O(n + edges).
+    """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self._graph = nx.DiGraph()
+        self._ops: Dict[str, OpNode] = {}
+        self._preds: Dict[str, List[str]] = {}
+        self._succs: Dict[str, List[str]] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add(self, node: OpNode, deps: Iterable[str] = ()) -> OpNode:
-        """Add ``node``, depending on the named predecessor ops."""
-        if node.name in self._graph:
-            raise ValueError(f"duplicate op name {node.name!r}")
-        self._graph.add_node(node.name, op=node)
-        for dep in deps:
-            if dep not in self._graph:
+        """Add ``node``, depending on the named predecessor ops.
+
+        Every dependency is validated before the graph changes, so a
+        rejected op leaves the graph as it was.  Repeated dependencies
+        collapse to one edge.
+        """
+        name = node.name
+        if name in self._ops:
+            raise ValueError(f"duplicate op name {name!r}")
+        preds = list(dict.fromkeys(deps))
+        for dep in preds:
+            if dep == name:
+                raise ValueError(f"op {name!r} cannot depend on itself")
+            if dep not in self._ops:
                 raise KeyError(f"dependency {dep!r} not in graph")
-            self._graph.add_edge(dep, node.name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_node(node.name)
-            raise ValueError(f"adding op {node.name!r} would create a cycle")
+        self._ops[name] = node
+        self._preds[name] = preds
+        self._succs[name] = []
+        for dep in preds:
+            self._succs[dep].append(name)
         return node
 
     def chain(self, nodes: Iterable[OpNode], after: Optional[str] = None) -> Optional[str]:
@@ -116,42 +132,38 @@ class OpGraph:
     # Access
     # ------------------------------------------------------------------
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._ops
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._ops)
 
     def node(self, name: str) -> OpNode:
-        return self._graph.nodes[name]["op"]
+        return self._ops[name]
 
     def nodes(self) -> List[OpNode]:
-        """All ops in a topological order."""
-        return [self._graph.nodes[n]["op"] for n in nx.topological_sort(self._graph)]
+        """All ops in a topological order (their insertion order)."""
+        return list(self._ops.values())
 
     def successors(self, name: str) -> List[str]:
-        return list(self._graph.successors(name))
+        return list(self._succs[name])
 
     def predecessors(self, name: str) -> List[str]:
-        return list(self._graph.predecessors(name))
-
-    def networkx(self) -> nx.DiGraph:
-        """The underlying networkx graph (treat as read-only)."""
-        return self._graph
+        return list(self._preds[name])
 
     # ------------------------------------------------------------------
     # Aggregate statistics
     # ------------------------------------------------------------------
     @property
     def total_flops(self) -> float:
-        return sum(op.flops for op in self.nodes())
+        return sum(op.flops for op in self._ops.values())
 
     @property
     def total_param_bytes(self) -> float:
-        return sum(op.param_bytes for op in self.nodes())
+        return sum(op.param_bytes for op in self._ops.values())
 
     @property
     def total_bytes(self) -> float:
-        return sum(op.total_bytes for op in self.nodes())
+        return sum(op.total_bytes for op in self._ops.values())
 
     def critical_path(self, weights: Dict[str, float]) -> List[str]:
         """Longest path through the DAG under per-node ``weights``.
@@ -163,19 +175,17 @@ class OpGraph:
         """
         best_cost: Dict[str, float] = {}
         best_pred: Dict[str, Optional[str]] = {}
-        order = list(nx.topological_sort(self._graph))
-        for name in order:
-            preds = list(self._graph.predecessors(name))
+        for name, preds in self._preds.items():
             if preds:
-                pred = max(preds, key=lambda p: best_cost[p])
+                pred = max(preds, key=best_cost.__getitem__)
                 base = best_cost[pred]
             else:
                 pred, base = None, 0.0
             best_cost[name] = base + weights[name]
             best_pred[name] = pred
-        if not order:
+        if not best_cost:
             return []
-        tail = max(order, key=lambda n: best_cost[n])
+        tail = max(best_cost, key=best_cost.__getitem__)
         path = [tail]
         while best_pred[path[-1]] is not None:
             path.append(best_pred[path[-1]])

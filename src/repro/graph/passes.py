@@ -42,20 +42,14 @@ def _rebuild(graph: OpGraph, drop: Set[str], rewrite: Dict[str, OpNode]) -> OpGr
     resolved: Dict[str, List[str]] = {}
 
     def surviving_deps(name: str) -> List[str]:
+        # Two spliced paths to one ancestor repeat it; add() collapses them.
         deps: List[str] = []
         for pred in graph.predecessors(name):
             if pred in drop:
                 deps.extend(resolved[pred])
             else:
                 deps.append(pred)
-        # Preserve order, drop duplicates.
-        seen: Set[str] = set()
-        unique = []
-        for dep in deps:
-            if dep not in seen:
-                seen.add(dep)
-                unique.append(dep)
-        return unique
+        return deps
 
     for op in graph.nodes():
         deps = surviving_deps(op.name)

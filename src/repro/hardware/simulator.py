@@ -180,27 +180,34 @@ class PerformanceSimulator:
 
             graph = optimize(graph)
         timings: Dict[str, OpTiming] = {}
+        weights: Dict[str, float] = {}
+        serial = flops = hbm = cmem = network = params = 0.0
         mxu_busy = vpu_busy = 0.0
         for op in graph.nodes():
             timing = self.time_op(op)
             timings[op.name] = timing
+            weights[op.name] = timing.time_s
+            serial += timing.time_s
+            flops += timing.flops
+            hbm += timing.hbm_bytes
+            cmem += timing.cmem_bytes
+            network += op.network_bytes
+            params += op.param_bytes
             if op.unit == UNIT_MXU:
                 mxu_busy += timing.compute_time_s
             elif op.unit not in (UNIT_MEMORY, UNIT_NETWORK):
                 vpu_busy += timing.compute_time_s
-        weights = {name: t.time_s for name, t in timings.items()}
         path = graph.critical_path(weights)
-        total_time = sum(weights[name] for name in path)
         return SimulationResult(
             graph_name=graph.name,
             hardware=self.hw.name,
-            total_time_s=total_time,
-            serial_time_s=sum(weights.values()),
-            total_flops=sum(t.flops for t in timings.values()),
-            hbm_bytes=sum(t.hbm_bytes for t in timings.values()),
-            cmem_bytes=sum(t.cmem_bytes for t in timings.values()),
-            network_bytes=sum(op.network_bytes for op in graph.nodes()),
-            param_bytes=graph.total_param_bytes,
+            total_time_s=sum(weights[name] for name in path),
+            serial_time_s=serial,
+            total_flops=flops,
+            hbm_bytes=hbm,
+            cmem_bytes=cmem,
+            network_bytes=network,
+            param_bytes=params,
             mxu_busy_s=mxu_busy,
             vpu_busy_s=vpu_busy,
             critical_path=path,

@@ -45,6 +45,45 @@ class TestOpGraph:
         with pytest.raises(KeyError):
             g.add(OpNode("b", "dense"), deps=["nope"])
 
+    def test_failed_add_leaves_graph_unchanged(self):
+        g = OpGraph()
+        g.add(OpNode("a", "dense"))
+        with pytest.raises(KeyError):
+            g.add(OpNode("b", "dense"), deps=["a", "nope"])
+        assert "b" not in g and len(g) == 1
+        assert g.successors("a") == []
+        # The name is still free after the rejected insert.
+        g.add(OpNode("b", "dense"), deps=["a"])
+        assert g.successors("a") == ["b"]
+
+    def test_self_dependency_rejected(self):
+        g = OpGraph()
+        g.add(OpNode("a", "dense"))
+        with pytest.raises(ValueError):
+            g.add(OpNode("b", "dense"), deps=["a", "b"])
+        assert "b" not in g
+        assert g.successors("a") == []
+
+    def test_duplicate_deps_collapse_to_one_edge(self):
+        g = OpGraph()
+        g.add(OpNode("a", "dense"))
+        g.add(OpNode("z", "dense"))
+        g.add(OpNode("b", "dense"), deps=["a", "z", "a", "a"])
+        assert g.predecessors("b") == ["a", "z"]
+        assert g.successors("a") == ["b"]
+
+    def test_nodes_in_insertion_order(self):
+        """Insertion order is a topological order: every dep comes first."""
+        g = OpGraph()
+        g.add(OpNode("src", "x"))
+        g.add(OpNode("right", "x"), deps=["src"])
+        g.add(OpNode("left", "x"), deps=["src"])
+        g.add(OpNode("join", "x"), deps=["left", "right"])
+        order = [op.name for op in g.nodes()]
+        assert order == ["src", "right", "left", "join"]
+        for i, name in enumerate(order):
+            assert all(order.index(p) < i for p in g.predecessors(name))
+
     def test_aggregates(self):
         g = OpGraph()
         g.add(OpNode("a", "dense", flops=5.0, param_bytes=2.0, bytes_in=1.0))
